@@ -1,9 +1,9 @@
 # Convenience targets for the es reproduction. `just` is not installed
 # in the build image, so plain make it is.
 
-.PHONY: all build test conform fuzz soak soak-limits serve-soak lint bench bench-eval bench-serve clean
+.PHONY: all build test test-workspace conform fuzz soak soak-limits serve-soak lint bench bench-eval bench-serve clean
 
-all: build test conform fuzz serve-soak lint
+all: build test test-workspace conform fuzz serve-soak lint
 
 build:
 	cargo build --release
@@ -12,14 +12,16 @@ build:
 test:
 	cargo build --release && cargo test -q
 
+# Every unit and integration suite in the workspace (the tier-1 line
+# above covers only the root package).
+test-workspace:
+	cargo test --workspace -q
+
 # E12 — differential conformance: every scenario runs on both kernels
 # (SimOs and RealOs); traces must agree on every oracle field or carry
-# a divergence-ledger entry. Zero silent mismatches tolerated. Then
-# E13's engine differential: every scenario and 256 fuzzed sessions
-# run under both evaluation engines; traces must be identical.
+# a divergence-ledger entry. Zero silent mismatches tolerated.
 conform:
 	cargo test -p es-conform --test conform -q
-	cargo test -p es-conform --test engines -q
 
 # E12 — grammar-aware script fuzz: seeded sessions against SimOs
 # (panic/leak/replay invariants, fault weather on a third of seeds) and
@@ -61,9 +63,9 @@ bench:
 	cargo bench -p es-bench
 
 # E7 + E13 — evaluator benches: hook-dispatch ablation, then the
-# bytecode-vs-tree engine comparison, which writes BENCH_eval.json
-# (ns/op for the Figure 1 pipeline, a hook-heavy loop, a closure-call
-# loop, and the isolated unspoofed-hook overhead, per engine).
+# evaluator regression bench, which writes BENCH_eval.json (ns/op for
+# the Figure 1 pipeline, a hook-heavy loop, a closure-call loop, and
+# the isolated unspoofed-hook overhead).
 bench-eval:
 	cargo bench -p es-bench --bench e7_hook_ablation
 	cargo bench -p es-bench --bench e13_engine

@@ -1,52 +1,30 @@
-//! E13 — bytecode engine vs tree walker (EXPERIMENTS.md §E13).
+//! E13 — evaluator regression bench (EXPERIMENTS.md §E13).
 //!
-//! Measures ns/op for three workloads under each evaluation engine:
+//! Measures ns/op of the tree-walking evaluator on three workloads:
 //!
 //! * the Figure 1 six-stage pipeline (hook dispatch dominated by
 //!   `%pipe`, plus real simulated-coreutils work),
 //! * a hook-heavy loop (a pipe and a redirection per iteration — pure
 //!   dispatch pressure), and
-//! * a closure-call loop (user function calls, exercising the
-//!   compiled-body cache).
+//! * a closure-call loop (user function calls and parameter binding).
 //!
-//! It also isolates the *unspoofed hook overhead* per engine: the gap
-//! between `{true; true; true}` (a `%seq` hook dispatch over trivial
-//! thunks) and the equivalent direct `$&seq` primitive call. The
-//! inline caches exist to shrink that gap — `%seq` is used rather
-//! than `%pipe` because a pipeline's process machinery (~90µs) would
-//! drown the ~100ns dispatch difference in scheduling noise.
+//! It also isolates the *unspoofed hook overhead*: the gap between
+//! `{true; true; true}` (a `%seq` hook dispatch over trivial thunks)
+//! and the equivalent direct `$&seq` primitive call. `%seq` is used
+//! rather than `%pipe` because a pipeline's process machinery (~90µs)
+//! would drown the ~100ns dispatch difference in scheduling noise.
 //!
+//! The keys keep their `_tree_` infix so BENCH_eval.json stays
+//! comparable with its earlier records.
 //! The criterion shim reports only to stderr, so this bench is a plain
 //! `harness = false` main that hand-writes `BENCH_eval.json` at the
 //! repo root.
 
-use es_bench::{machine_with, run, synth_document, FIG1_PIPELINE};
-use es_core::{Engine, Machine, Options};
+use es_bench::{machine, machine_with_paper, run, FIG1_PIPELINE};
+use es_core::Machine;
 use es_os::SimOs;
 use std::path::PathBuf;
 use std::time::Instant;
-
-fn engine_machine(engine: Engine) -> Machine<SimOs> {
-    machine_with(Options {
-        engine,
-        ..Options::default()
-    })
-}
-
-fn engine_machine_with_paper(engine: Engine, words: usize) -> Machine<SimOs> {
-    let mut os = SimOs::new();
-    os.vfs_mut()
-        .put_file("/home/user/paper9", synth_document(words).as_bytes())
-        .expect("vfs accepts document");
-    Machine::with_options(
-        os,
-        Options {
-            engine,
-            ..Options::default()
-        },
-    )
-    .expect("machine boots")
-}
 
 /// Times `iters` runs of `src` after `warmup` unmeasured runs,
 /// repeated over several samples; returns the minimum ns/op seen (the
@@ -73,39 +51,39 @@ const SEQ_HOOK: &str = "{true; true; true}";
 const SEQ_DIRECT: &str = "$&seq {true} {true} {true}";
 
 fn main() {
-    let engines = [(Engine::Tree, "tree"), (Engine::Bytecode, "bytecode")];
-    let mut fields: Vec<(String, u64)> = Vec::new();
+    let mut fields: Vec<(&str, u64)> = Vec::new();
 
-    for (engine, name) in engines {
-        // Figure 1 pipeline over a ~2000-word corpus.
-        let mut m = engine_machine_with_paper(engine, 2000);
-        let fig1 = time_ns(&mut m, FIG1_PIPELINE, 3, 20);
-        fields.push((format!("fig1_pipeline_{name}_ns_op"), fig1));
+    // Figure 1 pipeline over a ~2000-word corpus.
+    let mut m = machine_with_paper(2000);
+    fields.push((
+        "fig1_pipeline_tree_ns_op",
+        time_ns(&mut m, FIG1_PIPELINE, 3, 20),
+    ));
 
-        // Hook-heavy loop: 20 iterations, each a redirection (%create)
-        // plus a two-stage pipeline (%pipe), under %seq blocks.
-        let mut m = engine_machine(engine);
-        let hooks = time_ns(&mut m, HOOK_LOOP, 3, 30);
-        fields.push((format!("hook_loop_{name}_ns_op"), hooks));
+    // Hook-heavy loop: 20 iterations, each a redirection (%create)
+    // plus a two-stage pipeline (%pipe), under %seq blocks.
+    let mut m = machine();
+    fields.push(("hook_loop_tree_ns_op", time_ns(&mut m, HOOK_LOOP, 3, 30)));
 
-        // Closure-call loop: 50 calls of a user function per run.
-        let mut m = engine_machine(engine);
-        run(&mut m, "fn add1 x { result 1 $x }");
-        let closures = time_ns(&mut m, CLOSURE_LOOP, 5, 100);
-        fields.push((format!("closure_loop_{name}_ns_op"), closures));
+    // Closure-call loop: 50 calls of a user function per run.
+    let mut m = machine();
+    run(&mut m, "fn add1 x { result 1 $x }");
+    fields.push((
+        "closure_loop_tree_ns_op",
+        time_ns(&mut m, CLOSURE_LOOP, 5, 100),
+    ));
 
-        // Unspoofed hook overhead: %seq hook dispatch minus the
-        // direct primitive call for the same three thunks.
-        let mut m = engine_machine(engine);
-        let hook_ns = time_ns(&mut m, SEQ_HOOK, 100, 5000);
-        let direct_ns = time_ns(&mut m, SEQ_DIRECT, 100, 5000);
-        fields.push((format!("seq_hook_{name}_ns_op"), hook_ns));
-        fields.push((format!("seq_direct_{name}_ns_op"), direct_ns));
-        fields.push((
-            format!("hook_overhead_{name}_ns_op"),
-            hook_ns.saturating_sub(direct_ns),
-        ));
-    }
+    // Unspoofed hook overhead: %seq hook dispatch minus the direct
+    // primitive call for the same three thunks.
+    let mut m = machine();
+    let hook_ns = time_ns(&mut m, SEQ_HOOK, 100, 5000);
+    let direct_ns = time_ns(&mut m, SEQ_DIRECT, 100, 5000);
+    fields.push(("seq_hook_tree_ns_op", hook_ns));
+    fields.push(("seq_direct_tree_ns_op", direct_ns));
+    fields.push((
+        "hook_overhead_tree_ns_op",
+        hook_ns.saturating_sub(direct_ns),
+    ));
 
     let mut json = String::from("{\n");
     for (i, (key, value)) in fields.iter().enumerate() {

@@ -16,7 +16,7 @@
 //! experiment E6 measures via [`crate::Machine::max_depth_seen`]).
 
 use crate::exception::{EsError, EsResult};
-use crate::machine::{Engine, Machine};
+use crate::machine::Machine;
 use crate::prims;
 use crate::value::{self, ListBuilder};
 use es_gc::{Obj, Ref, RootSlot};
@@ -229,7 +229,7 @@ pub fn eval_node<O: Os + Clone>(
 /// Truncates the scope, keeping a value flow's ref alive by re-rooting
 /// is unnecessary: truncation never collects, and the caller roots the
 /// returned ref before the next allocation.
-pub(crate) fn pop_scope<O: Os + Clone>(m: &mut Machine<O>, base: usize, flow: Flow) -> Flow {
+fn pop_scope<O: Os + Clone>(m: &mut Machine<O>, base: usize, flow: Flow) -> Flow {
     m.heap.truncate_roots(base);
     flow
 }
@@ -243,7 +243,7 @@ pub fn throw_is<O: Os + Clone>(m: &Machine<O>, e: Ref, name: &str) -> bool {
 }
 
 /// Evaluates a name expression that must denote exactly one name.
-pub(crate) fn single_name<O: Os + Clone>(
+fn single_name<O: Os + Clone>(
     m: &mut Machine<O>,
     expr: &Expr,
     env: RootSlot,
@@ -507,7 +507,7 @@ pub fn eval_expr<O: Os + Clone>(
             Ok(value::list_from_strs(&mut m.heap, &[&format!("$&{name}")]))
         }
         Expr::CmdSub(node) => {
-            let flow = crate::vm::run_node(m, node, env, None)?;
+            let flow = eval_node(m, node, env, None)?;
             Ok(must_value(flow))
         }
         Expr::ClosureLit { bindings, lambda } => {
@@ -800,13 +800,7 @@ fn apply_closure_inner<O: Os + Clone>(
             }
         }
 
-        let result = match m.opts.engine {
-            Engine::Bytecode => {
-                let compiled = m.code_for(&code);
-                crate::vm::exec(m, &compiled, chain, Some((tail_clo, tail_args)))
-            }
-            Engine::Tree => eval_node(m, &code.body, chain, Some((tail_clo, tail_args))),
-        };
+        let result = eval_node(m, &code.body, chain, Some((tail_clo, tail_args)));
         match result {
             Ok(Flow::Tail) => {
                 // Rebind and iterate: this is the proper-tail-call.
@@ -873,7 +867,7 @@ pub fn run_external<O: Os + Clone>(
 /// "behaves identically to that in traditional shells". Boot leaves
 /// `fn-%glob` unbound, so while the hook generation says no `fn-%*`
 /// binding has ever changed, the per-word lookup is skipped entirely.
-pub(crate) fn glob_word<O: Os + Clone>(
+fn glob_word<O: Os + Clone>(
     m: &mut Machine<O>,
     w: &Word,
     env: RootSlot,

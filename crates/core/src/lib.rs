@@ -40,7 +40,6 @@
 //! assert_eq!(m.os_mut().take_output(), "1..\n2..\n3..\n");
 //! ```
 
-pub mod compile;
 mod env;
 mod eval;
 mod exception;
@@ -49,7 +48,6 @@ pub mod harness;
 mod machine;
 mod prims;
 mod value;
-mod vm;
 
 #[cfg(test)]
 mod tests;
@@ -57,7 +55,7 @@ mod tests;
 mod tests_prop;
 
 pub use exception::{EsError, EsResult};
-pub use machine::{Engine, Machine, Options, Yield, YieldAction};
+pub use machine::{Machine, Options, Yield, YieldAction};
 pub use value::Term;
 
 /// The bootstrap script, written in es itself (like the original's

@@ -15,22 +15,6 @@ use std::rc::Rc;
 /// The interpreter heap: closure payloads are shared lambda ASTs.
 pub type Heap = es_gc::Heap<Rc<Lambda>>;
 
-/// Which evaluator executes closure bodies and top-level code.
-///
-/// Both engines share one semantics (and one test suite — the
-/// conformance scenarios and fuzz corpus run differentially across
-/// them): the tree walker in [`crate::eval`] is the correctness
-/// oracle, the bytecode compiler in [`crate::compile`] +
-/// [`crate::vm`] is the hot path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Walk the AST directly (the `--engine tree` oracle).
-    Tree,
-    /// Compile to bytecode with inline-cached hook dispatch.
-    #[default]
-    Bytecode,
-}
-
 /// Tunable interpreter behaviour.
 #[derive(Debug, Clone)]
 pub struct Options {
@@ -47,9 +31,6 @@ pub struct Options {
     pub limits: Limits,
     /// Reported by `$&isinteractive`.
     pub interactive: bool,
-    /// The evaluation engine (bytecode by default; `Tree` is the
-    /// oracle behind the shell's `--engine tree` flag).
-    pub engine: Engine,
 }
 
 impl Default for Options {
@@ -58,7 +39,6 @@ impl Default for Options {
             tail_calls: true,
             limits: Limits::default_interpreter(),
             interactive: false,
-            engine: Engine::default(),
         }
     }
 }
@@ -125,14 +105,13 @@ pub struct Machine<O: Os + Clone> {
     governor: Governor,
     /// Hook-generation counter: bumped whenever any `fn-%*` binding is
     /// created, mutated, or removed (globals, dynamics, lexicals, and
-    /// closure parameters alike). Inline caches key on it.
+    /// closure parameters alike). [`Machine::hooks_pristine`] compares
+    /// it against the boot generation.
     hook_gen: u64,
     /// The counter's value right after `initial.es` bound the stock
     /// hooks — while `hook_gen` still equals it, every hook provably
     /// carries its boot binding (`fn-%pipe = $&pipe`, …).
     hook_boot_gen: u64,
-    /// Compiled-body cache: lambda tree identity → bytecode.
-    codes: std::collections::HashMap<crate::compile::LambdaKey, Rc<crate::compile::Code>>,
     /// Cooperative-yield hook (see [`Yield`]); `None` outside a
     /// scheduler. Forked children share the parent's hook, so a
     /// session's forks charge against the same timeslice.
@@ -161,7 +140,6 @@ impl<O: Os + Clone> Clone for Machine<O> {
             governor: self.governor.clone(),
             hook_gen: self.hook_gen,
             hook_boot_gen: self.hook_boot_gen,
-            codes: self.codes.clone(),
             yielder: self.yielder.clone(),
             boot_image: self.boot_image.clone(),
         }
@@ -193,7 +171,6 @@ impl<O: Os + Clone> Machine<O> {
             governor,
             hook_gen: 0,
             hook_boot_gen: 0,
-            codes: std::collections::HashMap::new(),
             yielder: None,
             boot_image: None,
         };
@@ -321,7 +298,7 @@ impl<O: Os + Clone> Machine<O> {
         }
     }
 
-    /// The current hook generation (inline-cache key).
+    /// The current hook generation.
     #[inline]
     pub fn hook_gen(&self) -> u64 {
         self.hook_gen
@@ -333,23 +310,6 @@ impl<O: Os + Clone> Machine<O> {
     #[inline]
     pub fn hooks_pristine(&self) -> bool {
         self.hook_gen == self.hook_boot_gen
-    }
-
-    /// The compiled bytecode for a closure body, compiling and caching
-    /// on first call (keyed by tree identity, so closures reparsed
-    /// from the environment share code with their originals).
-    pub fn code_for(&mut self, lambda: &Rc<Lambda>) -> Rc<crate::compile::Code> {
-        let key = crate::compile::LambdaKey(Rc::clone(lambda));
-        if let Some(code) = self.codes.get(&key) {
-            return Rc::clone(code);
-        }
-        // Bound: fuzzed sessions can mint unbounded distinct lambdas.
-        if self.codes.len() >= 4096 {
-            self.codes.clear();
-        }
-        let code = Rc::new(crate::compile::compile_lambda(lambda));
-        self.codes.insert(key, Rc::clone(&code));
-        code
     }
 
     // ----- running code --------------------------------------------------------
@@ -369,7 +329,7 @@ impl<O: Os + Clone> Machine<O> {
         };
         let base = self.heap.roots_len();
         let env = self.heap.push_root(Ref::NIL);
-        let result = crate::vm::run_node(self, &node, env, None);
+        let result = eval::eval_node(self, &node, env, None);
         let out = match result {
             Ok(flow) => Ok(eval::must_value(flow)),
             Err(e) => Err(e),

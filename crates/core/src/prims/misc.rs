@@ -287,7 +287,7 @@ pub fn dot<O: Os + Clone>(m: &mut Machine<O>, args: RootSlot, env: RootSlot) -> 
         .alloc_binding("0", m.heap.root(fl_slot), m.heap.root(chain));
     m.heap.set_root(chain, b);
     m.push_input(Input::Text { src, pos: 0 });
-    let result = crate::vm::run_node(m, &node, chain, None);
+    let result = crate::eval::eval_node(m, &node, chain, None);
     m.pop_input();
     let out = match result {
         Ok(flow) => Ok(Flow::Val(must_value(flow))),

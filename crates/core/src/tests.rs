@@ -2,7 +2,7 @@
 //! corners.
 
 use crate::governor::Limits;
-use crate::machine::{Engine, Machine, Options};
+use crate::machine::{Machine, Options};
 use es_os::{Os, SimOs};
 
 fn machine() -> Machine<SimOs> {
@@ -814,7 +814,6 @@ fn naive_mode_grows_depth() {
                 depth: Some(64),
                 ..Limits::default()
             },
-            interactive: false,
             ..Options::default()
         },
     )
@@ -850,9 +849,8 @@ fn gc_survives_shell_workload() {
     m.run("fns = <>{mk 1} <>{mk 2} <>{mk 3}").unwrap();
     assert_eq!(val(&mut m, "$fns(2)"), vec!["2"]);
     m.heap.set_stress(false);
-    // The bytecode engine allocates less than the tree walker did
-    // (no head-word list per call, no spine copy per literal), so the
-    // floor is what matters, not the old walker's exact count.
+    // The exact count moves with every change to how the evaluator
+    // allocates; the floor is what shows stress mode collected.
     assert!(
         m.heap.stats().collections > 50,
         "stress mode collected (saw {})",
@@ -1398,20 +1396,12 @@ fn backquote_drain_interrupted_by_scheduled_signal() {
 }
 
 // --------------------------------------------------------------------------
-// Hook-generation counter and inline-cache invalidation.
+// Hook-generation counter and the pristine-hook fast path.
 // --------------------------------------------------------------------------
 
-fn machine_with_engine(engine: Engine) -> Machine<SimOs> {
-    let opts = Options {
-        engine,
-        ..Options::default()
-    };
-    Machine::with_options(SimOs::new(), opts).expect("machine boots")
-}
-
 /// Every way of touching a `fn-%*` binding bumps the generation
-/// counter, and nothing else does. The inline caches key on this, so a
-/// missed bump would silently pin stale fast paths.
+/// counter, and nothing else does. `hooks_pristine` keys on this, so a
+/// missed bump would silently pin a stale fast path.
 #[test]
 fn hook_generation_counter_tracks_every_binding_site() {
     let mut m = machine();
@@ -1439,7 +1429,7 @@ fn hook_generation_counter_tracks_every_binding_site() {
     assert!(m.hook_gen() > after_redef, "restore bumps");
 
     // Lexical and dynamic fn-%* bindings bump too — a let-shadowed
-    // hook is visible to lookup, so the caches must notice.
+    // hook is visible to lookup, so the fast path must notice.
     let before_let = m.hook_gen();
     m.run("let (fn-%glob = x) {true}").unwrap();
     assert!(m.hook_gen() > before_let, "let-bound fn-%* name bumps");
@@ -1451,68 +1441,68 @@ fn hook_generation_counter_tracks_every_binding_site() {
     assert!(!m.hooks_pristine());
 }
 
-/// `fn-%pipe` defined, redefined, and restored mid-session takes
-/// effect on the very next pipeline — under both engines. This is the
-/// inline-cache invalidation contract: the bytecode engine's cached
-/// fast path must notice each change exactly like the tree walker.
+/// `fn-%pipe` defined, redefined, unset, and restored mid-session
+/// takes effect on the very next pipeline. The pipeline's `wc` is
+/// resolved through `%pathsearch`: by the pristine shortcut on the
+/// first run and by the `fn-%pathsearch` lookup on the last, so both
+/// sides of the fast path run here.
 #[test]
 fn pipe_spoof_defined_redefined_and_restored_mid_session() {
-    for engine in [Engine::Tree, Engine::Bytecode] {
-        let mut m = machine_with_engine(engine);
+    let mut m = machine();
+    assert!(m.hooks_pristine());
+    assert_eq!(output(&mut m, "echo hi | wc -l"), "1\n");
 
-        // Warm the call site: the bytecode engine caches the %pipe
-        // fast path on this call.
-        assert_eq!(output(&mut m, "echo hi | wc -l"), "1\n", "{engine:?}");
+    m.run("fn %pipe { echo spoofed }").unwrap();
+    assert!(!m.hooks_pristine(), "a spoof ends pristine mode");
+    assert_eq!(output(&mut m, "echo hi | wc -l"), "spoofed\n");
 
-        // Define: the cached fast path must be abandoned immediately.
-        m.run("fn %pipe { echo spoofed }").unwrap();
-        assert_eq!(output(&mut m, "echo hi | wc -l"), "spoofed\n", "{engine:?}");
+    m.run("fn %pipe { echo respoofed }").unwrap();
+    assert_eq!(output(&mut m, "echo hi | wc -l"), "respoofed\n");
 
-        // Redefine: the new spoof wins, not the first one.
-        m.run("fn %pipe { echo respoofed }").unwrap();
-        assert_eq!(
-            output(&mut m, "echo hi | wc -l"),
-            "respoofed\n",
-            "{engine:?}"
-        );
+    m.run("fn-%pipe =").unwrap();
+    let err = m.run("echo hi | wc -l").unwrap_err();
+    assert!(err.contains("%pipe"), "{err}");
 
-        // Unset entirely: both engines fail the same way.
-        m.run("fn-%pipe =").unwrap();
-        let err = m.run("echo hi | wc -l").unwrap_err();
-        assert!(err.contains("%pipe"), "{engine:?}: {err}");
-
-        // Restore the primitive: pipelines work again (but the IC
-        // stays conservative — correctness only, not speed).
-        m.run("fn-%pipe = $&pipe").unwrap();
-        assert_eq!(output(&mut m, "echo hi | wc -l"), "1\n", "{engine:?}");
-    }
+    // Restoring the primitive brings pipelines back, but not pristine
+    // mode: from here on `wc` is found by the hook lookup.
+    m.run("fn-%pipe = $&pipe").unwrap();
+    assert!(!m.hooks_pristine());
+    assert_eq!(output(&mut m, "echo hi | wc -l"), "1\n");
 }
 
 /// A hook spoofed from inside a command substitution in the argument
-/// list of the very call being dispatched must be seen: the fast-path
-/// check runs after argument evaluation.
+/// list of the very call being dispatched must be seen: the pristine
+/// check runs after argument evaluation. Each case starts pristine
+/// (`recycle` restores the boot bindings), so it is the shortcut that
+/// must notice the spoof.
 #[test]
 fn hook_spoof_from_argument_evaluation_is_not_missed() {
-    for engine in [Engine::Tree, Engine::Bytecode] {
-        let mut m = machine_with_engine(engine);
-        // Warm the %flatten call site...
-        assert_eq!(
-            output(&mut m, "echo <>{%flatten : a b}"),
-            "a:b\n",
-            "{engine:?}"
-        );
-        // ...then spoof it from a backquote evaluated while building
-        // that same call's separator argument. The redefinition lands
-        // before dispatch, so dispatch must use it.
-        assert_eq!(
-            output(
-                &mut m,
-                "echo <>{%flatten `{fn %flatten {echo GOT; result X}; echo -n :} a b}"
-            ),
-            "GOT\nX\n",
-            "{engine:?}"
-        );
-    }
+    let mut m = machine();
+    // `%glob`: the backquote binds the hook before `*` expands.
+    assert!(m.hooks_pristine());
+    assert_eq!(
+        output(&mut m, "echo `{fn %glob { result GLOB }} *"),
+        "GLOB\n"
+    );
+
+    // `%pathsearch`: `ls` is looked up after its argument bound the
+    // hook; a multi-word result is applied as a command prefix.
+    assert!(m.recycle());
+    assert!(m.hooks_pristine());
+    assert_eq!(
+        output(&mut m, "ls `{fn %pathsearch { result $&echo GOT }; echo x}"),
+        "GOT x\n"
+    );
+
+    // An ordinary hook call: the redefinition lands before dispatch.
+    assert!(m.recycle());
+    assert_eq!(
+        output(
+            &mut m,
+            "echo <>{%flatten `{fn %flatten {echo GOT; result X}; echo -n :} a b}"
+        ),
+        "GOT\nX\n"
+    );
 }
 
 // ----- serving substrate: recycle, cooperative yield, warning routing ------

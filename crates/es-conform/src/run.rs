@@ -3,7 +3,7 @@
 
 use crate::oracle::{normalize, TMP_TOKEN};
 use es_core::harness::{run_session, SessionTrace};
-use es_core::{Engine, Machine, Options};
+use es_core::Machine;
 use es_os::{FaultPlan, RealOs, SimOs};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -28,17 +28,6 @@ pub fn run_sim(
     script: &[impl AsRef<str>],
     fault_seed: Option<u64>,
 ) -> (SessionTrace, Vec<String>) {
-    run_sim_engine(script, fault_seed, Engine::default())
-}
-
-/// Like [`run_sim`], but on an explicit evaluation engine. The
-/// engine-differential suite runs every script twice through this,
-/// once per engine, and demands identical traces.
-pub fn run_sim_engine(
-    script: &[impl AsRef<str>],
-    fault_seed: Option<u64>,
-    engine: Engine,
-) -> (SessionTrace, Vec<String>) {
     let mut os = SimOs::new();
     os.vfs_mut()
         .mkdir_all(SIM_TMP)
@@ -46,11 +35,7 @@ pub fn run_sim_engine(
     os.vfs_mut()
         .mkdir_all(&format!("{SIM_TMP}/sub"))
         .expect("sim scratch subdir creates");
-    let opts = Options {
-        engine,
-        ..Options::default()
-    };
-    let mut m = Machine::with_options(os, opts).expect("sim machine boots");
+    let mut m = Machine::new(os).expect("sim machine boots");
     if let Some(seed) = fault_seed {
         m.os_mut()
             .set_fault_plan(Some(FaultPlan::new(seed).uniform_rate(150)));

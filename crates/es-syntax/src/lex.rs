@@ -130,13 +130,25 @@ pub struct Token {
     pub pos: usize,
 }
 
-/// Lexer error (always a quoting problem; everything else is a word).
+/// Lexer error: a quoting problem, a malformed fd designator, or a
+/// character that cannot begin any token.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LexError {
     /// Human-readable message.
     pub msg: String,
     /// True if more input could fix it (unterminated quote).
     pub incomplete: bool,
+    /// Where the offending construct starts, counted like
+    /// [`Token::pos`].
+    pub pos: usize,
+}
+
+fn lex_err(msg: &str, pos: usize) -> LexError {
+    LexError {
+        msg: msg.into(),
+        incomplete: false,
+        pos,
+    }
 }
 
 const SPECIAL: &str = " \t\n#;&|^$=`'{}()<>!@~\\";
@@ -146,7 +158,9 @@ pub fn is_word_char(c: char) -> bool {
     !SPECIAL.contains(c)
 }
 
-/// Splits `src` into tokens.
+/// Splits `src` into tokens. Every iteration of the main loop
+/// consumes at least one character or fails, so lexing is linear in
+/// the input and always terminates.
 pub fn tokens(src: &str) -> Result<Vec<Token>, LexError> {
     let chars: Vec<char> = src.chars().collect();
     let mut out = Vec::new();
@@ -244,10 +258,7 @@ pub fn tokens(src: &str) -> Result<Vec<Token>, LexError> {
                         Bracket::One(n) => (n, 0),
                         Bracket::Two(a, b) => (a, b),
                         Bracket::CloseMark(_) => {
-                            return Err(LexError {
-                                msg: "bad pipe fd designator".into(),
-                                incomplete: false,
-                            })
+                            return Err(lex_err("bad pipe fd designator", pos))
                         }
                     };
                     push(&mut out, Tok::Pipe(a, b), space);
@@ -274,10 +285,7 @@ pub fn tokens(src: &str) -> Result<Vec<Token>, LexError> {
                         j += 1;
                     }
                     if name.is_empty() {
-                        return Err(LexError {
-                            msg: "missing primitive name after $&".into(),
-                            incomplete: false,
-                        });
+                        return Err(lex_err("missing primitive name after $&", pos));
                     }
                     push(&mut out, Tok::Prim(name), space);
                     i = j;
@@ -294,7 +302,7 @@ pub fn tokens(src: &str) -> Result<Vec<Token>, LexError> {
                 } else if chars.get(i + 1) == Some(&'<') {
                     if chars.get(i + 2) == Some(&'[') {
                         let (nums, next) = bracket_numbers(&chars, i + 2)?;
-                        let fd = bracket_single(nums)?;
+                        let fd = bracket_single(nums, pos)?;
                         push(&mut out, Tok::Redir(RedirOp::Here(fd)), space);
                         i = next;
                     } else {
@@ -303,7 +311,7 @@ pub fn tokens(src: &str) -> Result<Vec<Token>, LexError> {
                     }
                 } else if chars.get(i + 1) == Some(&'[') {
                     let (nums, next) = bracket_numbers(&chars, i + 1)?;
-                    let fd = bracket_single(nums)?;
+                    let fd = bracket_single(nums, pos)?;
                     push(&mut out, Tok::Redir(RedirOp::Open(fd)), space);
                     i = next;
                 } else {
@@ -315,7 +323,7 @@ pub fn tokens(src: &str) -> Result<Vec<Token>, LexError> {
                 if chars.get(i + 1) == Some(&'>') {
                     if chars.get(i + 2) == Some(&'[') {
                         let (nums, next) = bracket_numbers(&chars, i + 2)?;
-                        let fd = bracket_single(nums)?;
+                        let fd = bracket_single(nums, pos)?;
                         push(&mut out, Tok::Redir(RedirOp::Append(fd)), space);
                         i = next;
                     } else {
@@ -354,6 +362,15 @@ pub fn tokens(src: &str) -> Result<Vec<Token>, LexError> {
             }
             _ => {
                 let (word, next_i) = lex_word(&chars, i)?;
+                if next_i == i {
+                    // No arm claims this character and no word can
+                    // start with it: only a `\` that does not escape
+                    // a newline gets here.
+                    return Err(lex_err(
+                        &format!("unexpected `{c}` (a backslash only continues a line)"),
+                        pos,
+                    ));
+                }
                 push(&mut out, Tok::Word(word), space);
                 i = next_i;
             }
@@ -382,10 +399,7 @@ fn bracket_numbers(chars: &[char], start: usize) -> Result<(Bracket, usize), Lex
         a.push(chars[i]);
         i += 1;
     }
-    let a: u32 = a.parse().map_err(|_| LexError {
-        msg: "bad fd number".into(),
-        incomplete: false,
-    })?;
+    let a: u32 = a.parse().map_err(|_| lex_err("bad fd number", start))?;
     match chars.get(i) {
         Some(']') => Ok((Bracket::One(a), i + 1)),
         Some('=') => {
@@ -396,35 +410,23 @@ fn bracket_numbers(chars: &[char], start: usize) -> Result<(Bracket, usize), Lex
                 i += 1;
             }
             if chars.get(i) != Some(&']') {
-                return Err(LexError {
-                    msg: "unterminated fd designator".into(),
-                    incomplete: false,
-                });
+                return Err(lex_err("unterminated fd designator", start));
             }
             if b.is_empty() {
                 Ok((Bracket::CloseMark(a), i + 1))
             } else {
-                let b: u32 = b.parse().map_err(|_| LexError {
-                    msg: "bad fd number".into(),
-                    incomplete: false,
-                })?;
+                let b: u32 = b.parse().map_err(|_| lex_err("bad fd number", start))?;
                 Ok((Bracket::Two(a, b), i + 1))
             }
         }
-        _ => Err(LexError {
-            msg: "unterminated fd designator".into(),
-            incomplete: false,
-        }),
+        _ => Err(lex_err("unterminated fd designator", start)),
     }
 }
 
-fn bracket_single(b: Bracket) -> Result<u32, LexError> {
+fn bracket_single(b: Bracket, pos: usize) -> Result<u32, LexError> {
     match b {
         Bracket::One(n) => Ok(n),
-        _ => Err(LexError {
-            msg: "unexpected `=` in fd designator".into(),
-            incomplete: false,
-        }),
+        _ => Err(lex_err("unexpected `=` in fd designator", pos)),
     }
 }
 
@@ -436,6 +438,7 @@ fn lex_word(chars: &[char], start: usize) -> Result<(Vec<(String, bool)>, usize)
     loop {
         match chars.get(i) {
             Some('\'') => {
+                let open = i;
                 let mut text = String::new();
                 i += 1;
                 loop {
@@ -444,6 +447,7 @@ fn lex_word(chars: &[char], start: usize) -> Result<(Vec<(String, bool)>, usize)
                             return Err(LexError {
                                 msg: "unterminated quote".into(),
                                 incomplete: true,
+                                pos: open,
                             })
                         }
                         Some('\'') if chars.get(i + 1) == Some(&'\'') => {

@@ -62,6 +62,24 @@ fn lex_mixed_quoting_is_one_word() {
 fn lex_unterminated_quote_is_incomplete() {
     let err = lex::tokens("echo 'oops").unwrap_err();
     assert!(err.incomplete);
+    assert_eq!(err.pos, 5, "points at the opening quote");
+}
+
+/// A backslash that does not precede a newline begins no token. The
+/// lexer must reject it where it stands instead of emitting empty
+/// words forever.
+#[test]
+fn lex_stray_backslash_is_a_positioned_error() {
+    for (src, pos) in [("echo \\x", 5), ("\\", 0), ("echo a\\", 6), ("a \\ b", 2)] {
+        let err = lex::tokens(src).unwrap_err();
+        assert_eq!(err.pos, pos, "{src:?}");
+        assert!(!err.incomplete, "{src:?}");
+        assert!(err.msg.contains('\\'), "{src:?}: {}", err.msg);
+        let parsed = parse_program(src).unwrap_err();
+        assert_eq!(parsed.pos, pos, "{src:?}");
+    }
+    // Inside quotes a backslash is an ordinary character.
+    assert!(lex::tokens("echo 'a\\b'").is_ok());
 }
 
 #[test]

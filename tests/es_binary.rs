@@ -1,8 +1,9 @@
 //! Black-box tests of the `es` binary itself (simulated kernel mode):
 //! the REPL over a pty-less stdin, `-c`, script files, and flags.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 /// Path of the compiled `es` binary (cargo builds bin deps for
 /// integration tests of the same workspace... it does not, so build it
@@ -40,6 +41,43 @@ fn run_es(args: &[&str], stdin: &str) -> (String, String, i32) {
         String::from_utf8_lossy(&out.stderr).into_owned(),
         out.status.code().unwrap_or(-1),
     )
+}
+
+/// Runs `es ARGS` on empty stdin for input that once made the shell
+/// spin. The child runs under a 1 GiB address-space cap and is killed
+/// after 30 s, so a regression fails the test instead of eating the
+/// host's memory. Returns stderr and the exit status.
+fn run_es_guarded(args: &[&str]) -> (String, i32) {
+    let mut child = Command::new("sh")
+        .arg("-c")
+        .arg("ulimit -v 1048576 && exec \"$0\" \"$@\"")
+        .arg(es_binary())
+        .args(args)
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("es starts");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("es waits") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("es {args:?} did not exit within 30 s");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    let mut err = String::new();
+    child
+        .stderr
+        .take()
+        .expect("stderr piped")
+        .read_to_string(&mut err)
+        .expect("stderr reads");
+    (err, status.code().unwrap_or(-1))
 }
 
 #[test]
@@ -131,4 +169,28 @@ fn stress_gc_mode_runs_clean() {
     );
     assert_eq!(out, "1 2 3\n");
     assert_eq!(status, 0);
+}
+
+#[test]
+fn stray_backslash_is_a_parse_error_not_a_hang() {
+    for src in ["echo \\x", "\\", "echo a\\"] {
+        let (err, status) = run_es_guarded(&["-c", src]);
+        assert!(err.contains("parse error"), "{src:?}: {err}");
+        assert_eq!(status, 1, "{src:?}: {err}");
+    }
+}
+
+#[test]
+fn serve_rejects_high_water_above_capacity() {
+    // The default high-water mark (8) exceeds a capacity of 4.
+    let (_, err, status) = run_es(&["serve", "--capacity", "4"], "");
+    assert!(err.contains("--high-water 8 exceeds --capacity 4"), "{err}");
+    assert_eq!(status, 2);
+    let (_, err, status) = run_es(&["serve", "--capacity", "4", "--high-water", "5"], "");
+    assert!(err.contains("exceeds"), "{err}");
+    assert_eq!(status, 2);
+    // A consistent pair starts; EOF on stdin drains and exits cleanly.
+    let (out, err, status) = run_es(&["serve", "--capacity", "4", "--high-water", "4"], "");
+    assert!(out.contains("drained"), "{out} {err}");
+    assert_eq!(status, 0, "{err}");
 }
