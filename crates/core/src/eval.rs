@@ -833,7 +833,8 @@ fn apply_closure_inner<O: Os + Clone>(
 }
 
 /// Runs an external program: argv = path + flattened args, the current
-/// environment encoding, and the shell's fd layout.
+/// environment encoding (memoised; see [`Machine::exported_env`]), and
+/// the shell's fd layout.
 pub fn run_external<O: Os + Clone>(
     m: &mut Machine<O>,
     path: &str,
@@ -841,7 +842,14 @@ pub fn run_external<O: Os + Clone>(
 ) -> EsResult<Flow> {
     let mut argv = vec![path.to_string()];
     argv.extend(m.strings_at(args));
-    let envs = crate::env::build_environment(m);
+    let envs = m.exported_env();
+    // Debug builds check every exec's memo against a fresh encoding,
+    // so a binding site that forgets to bump `env_gen` fails loudly.
+    debug_assert_eq!(
+        &envs[..],
+        &crate::env::build_environment(m)[..],
+        "stale environment memo"
+    );
     let fds = m.fd_layout();
     // Bounded EINTR retry: the fault layer injects interrupts before
     // the child runs, so re-issuing the whole exec is safe.

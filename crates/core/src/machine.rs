@@ -15,6 +15,9 @@ use std::rc::Rc;
 /// The interpreter heap: closure payloads are shared lambda ASTs.
 pub type Heap = es_gc::Heap<Rc<Lambda>>;
 
+/// An encoded environment, shared by every exec that reuses it.
+type EncodedEnv = Rc<[(String, String)]>;
+
 /// Tunable interpreter behaviour.
 #[derive(Debug, Clone)]
 pub struct Options {
@@ -112,6 +115,16 @@ pub struct Machine<O: Os + Clone> {
     /// hooks — while `hook_gen` still equals it, every hook provably
     /// carries its boot binding (`fn-%pipe = $&pipe`, …).
     hook_boot_gen: u64,
+    /// Binding generation: bumped by every change that can alter what
+    /// [`env::build_environment`] returns — [`Machine::assign_raw`]
+    /// (globals, dynamics, and lexical bindings, including one an
+    /// exported closure captured), [`Machine::push_dynamic`], and
+    /// [`Machine::pop_dynamics`] when it pops. A fresh lexical binding
+    /// does not bump it: no existing value can see a new binding.
+    env_gen: u64,
+    /// The encoded environment and the `env_gen` it was encoded at;
+    /// valid while the two generations agree. Not filled at boot.
+    env_memo: Option<(u64, EncodedEnv)>,
     /// Cooperative-yield hook (see [`Yield`]); `None` outside a
     /// scheduler. Forked children share the parent's hook, so a
     /// session's forks charge against the same timeslice.
@@ -140,6 +153,8 @@ impl<O: Os + Clone> Clone for Machine<O> {
             governor: self.governor.clone(),
             hook_gen: self.hook_gen,
             hook_boot_gen: self.hook_boot_gen,
+            env_gen: self.env_gen,
+            env_memo: self.env_memo.clone(),
             yielder: self.yielder.clone(),
             boot_image: self.boot_image.clone(),
         }
@@ -171,6 +186,8 @@ impl<O: Os + Clone> Machine<O> {
             governor,
             hook_gen: 0,
             hook_boot_gen: 0,
+            env_gen: 0,
+            env_memo: None,
             yielder: None,
             boot_image: None,
         };
@@ -250,6 +267,28 @@ impl<O: Os + Clone> Machine<O> {
     /// travel as `%closure(...)` strings (paper, "The Environment").
     pub fn export_environment(&self) -> Vec<(String, String)> {
         env::build_environment(self)
+    }
+
+    /// The environment an external command receives: the memoised
+    /// encoding, re-encoded only when a binding has changed since the
+    /// last one (see `env_gen`). Same bytes as
+    /// [`Machine::export_environment`].
+    pub(crate) fn exported_env(&mut self) -> EncodedEnv {
+        if let Some(envs) = self.env_memo() {
+            return envs;
+        }
+        let envs: EncodedEnv = env::build_environment(self).into();
+        self.env_memo = Some((self.env_gen, envs.clone()));
+        envs
+    }
+
+    /// The memoised encoding, if no binding has changed since it was
+    /// made.
+    pub(crate) fn env_memo(&self) -> Option<EncodedEnv> {
+        match &self.env_memo {
+            Some((gen, envs)) if *gen == self.env_gen => Some(envs.clone()),
+            _ => None,
+        }
     }
 
     /// The kernel backend (mutable).
@@ -433,6 +472,7 @@ impl<O: Os + Clone> Machine<O> {
     /// it must run es code; this method is the raw store.
     pub fn assign_raw(&mut self, env: Ref, name: &str, value: Ref) {
         self.note_binding(name);
+        self.env_gen += 1;
         let mut cur = env;
         while !cur.is_nil() {
             let (bname, _, next) = self.heap.binding_parts(cur);
@@ -490,6 +530,7 @@ impl<O: Os + Clone> Machine<O> {
     /// [`Machine::pop_dynamics`].
     pub fn push_dynamic(&mut self, name: &str, value: Ref) {
         self.note_binding(name);
+        self.env_gen += 1;
         let slot = self.heap.push_root(value);
         self.dynamics.push((name.to_string(), slot));
     }
@@ -502,6 +543,9 @@ impl<O: Os + Clone> Machine<O> {
     /// Pops dynamic bindings down to `len`. The caller must truncate
     /// the matching root scope itself (bindings own root slots).
     pub fn pop_dynamics(&mut self, len: usize) {
+        if len < self.dynamics.len() {
+            self.env_gen += 1;
+        }
         self.dynamics.truncate(len);
     }
 

@@ -1441,6 +1441,95 @@ fn hook_generation_counter_tracks_every_binding_site() {
     assert!(!m.hooks_pristine());
 }
 
+/// What the simulated `env` program prints for an environment.
+fn env_text(pairs: &[(String, String)]) -> String {
+    pairs.iter().map(|(k, v)| format!("{k}={v}\n")).collect()
+}
+
+/// Runs the simulated `env` and checks it printed exactly what
+/// `export_environment()` encodes now; returns the printed text.
+fn env_matches_export(m: &mut Machine<SimOs>, what: &str) -> String {
+    let got = output(m, "env");
+    assert_eq!(got, env_text(&m.export_environment()), "{what}");
+    got
+}
+
+/// The memoised export (what every exec receives) is re-encoded after
+/// each kind of binding change and reused when nothing changed. Each
+/// `env` below runs with the memo filled by the exec before it, so a
+/// missed invalidation shows up as stale output.
+#[test]
+fn export_memo_tracks_every_binding_site() {
+    let mut m = machine();
+    env_matches_export(&mut m, "fresh boot");
+
+    // A global set and an unset.
+    m.run("x = 1").unwrap();
+    assert!(env_matches_export(&mut m, "global set").contains("\nx=1\n"));
+    m.run("x =").unwrap();
+    assert!(!env_matches_export(&mut m, "global unset").contains("\nx="));
+
+    // A function defined and redefined.
+    m.run("fn x { echo one }").unwrap();
+    assert!(env_matches_export(&mut m, "fn defined").contains("fn-x=@ * {echo one}\n"));
+    m.run("fn x { echo two }").unwrap();
+    assert!(env_matches_export(&mut m, "fn redefined").contains("fn-x=@ * {echo two}\n"));
+
+    // A `local` shadow, inside and after its scope.
+    m.run("y = outer").unwrap();
+    let outside = env_matches_export(&mut m, "before local");
+    assert!(outside.contains("\ny=outer\n"));
+    let inside = output(&mut m, "local (y = shadow) env");
+    assert_eq!(inside, outside.replace("\ny=outer\n", "\ny=shadow\n"));
+    assert_eq!(env_matches_export(&mut m, "after local"), outside);
+
+    // A captured lexical binding mutated after the closure was
+    // exported: the new value must appear in `fn-f`.
+    m.run("let (a = 1) { fn f { echo $a }; fn bump { a = 2 } }").unwrap();
+    assert!(env_matches_export(&mut m, "captured").contains("fn-f=%closure(a=1)@ * {echo $a}\n"));
+    m.run("bump").unwrap();
+    assert!(env_matches_export(&mut m, "captured, mutated")
+        .contains("fn-f=%closure(a=2)@ * {echo $a}\n"));
+    m.run("let (a = 1) { fn f { echo $a }; a = 2 }").unwrap();
+    assert!(env_matches_export(&mut m, "mutated in scope")
+        .contains("fn-f=%closure(a=2)@ * {echo $a}\n"));
+
+    // A settor-transformed assignment exports the settor's result.
+    m.run("set-z = @ { return t-$* }").unwrap();
+    m.run("z = raw").unwrap();
+    assert!(env_matches_export(&mut m, "settor").contains("\nz=t-raw\n"));
+
+    // A change to `$noexport`, and back.
+    m.run("noexport = y").unwrap();
+    assert!(!env_matches_export(&mut m, "noexport set").contains("\ny="));
+    m.run("noexport =").unwrap();
+    assert!(env_matches_export(&mut m, "noexport unset").contains("\ny=outer\n"));
+
+    // Inside a fork: the child inherits the parent's memo, and its own
+    // assignment must invalidate it without touching the parent's.
+    let forked = output(&mut m, "fork { y = forked; env }");
+    assert!(forked.contains("\ny=forked\n"));
+    assert!(env_matches_export(&mut m, "parent after fork").contains("\ny=outer\n"));
+    m.run("y = forked").unwrap();
+    assert_eq!(env_matches_export(&mut m, "parent, same binding"), forked);
+
+    // After recycle(): back to the boot bindings.
+    let boot = env_text(&machine().export_environment());
+    assert!(m.recycle());
+    assert_eq!(env_matches_export(&mut m, "after recycle"), boot);
+
+    // Six back-to-back execs with no binding in between encode once.
+    m.run("x = again").unwrap();
+    assert!(m.env_memo().is_none(), "a binding change invalidates the memo");
+    m.run("/bin/true").unwrap();
+    let memo = m.env_memo().expect("the first exec fills the memo");
+    for _ in 0..5 {
+        m.run("/bin/true").unwrap();
+        let now = m.env_memo().expect("memo still current");
+        assert!(std::rc::Rc::ptr_eq(&memo, &now), "exec re-encoded the environment");
+    }
+}
+
 /// `fn-%pipe` defined, redefined, unset, and restored mid-session
 /// takes effect on the very next pipeline. The pipeline's `wc` is
 /// resolved through `%pathsearch`: by the pristine shortcut on the

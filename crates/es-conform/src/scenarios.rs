@@ -305,6 +305,24 @@ pub const SCENARIOS: &[Scenario] = &[
         &["x = outer", "fork {x = inner; echo in $x}", "echo out $x"],
         &[],
     ),
+    // ----- environment export ----------------------------------------------
+    // The exported environment is memoised between binding changes;
+    // each `env` here follows an exec that filled the memo, so a stale
+    // encoding would print the old value on one kernel or both.
+    both(
+        "env_tracks_shadow_and_captured_mutation",
+        &[
+            "let (a = 1) {fn show {echo $a}; fn bump {a = 2}}",
+            "shadowme = global",
+            "env | grep '^fn-show='",
+            "env | grep '^shadowme='",
+            "bump",
+            "local (shadowme = dynamic) {env | grep '^shadowme='}",
+            "env | grep '^fn-show='",
+            "env | grep '^shadowme='",
+        ],
+        &["env", "grep"],
+    ),
     // ----- resource limits (deterministic kinds only) ----------------------
     both(
         "limit-steps",

@@ -107,7 +107,7 @@ fn sleep(ctx: &mut ProcCtx) -> i32 {
 /// `env` — print the environment, one NAME=value per line.
 fn env(ctx: &mut ProcCtx) -> i32 {
     let mut out = String::new();
-    for (k, v) in ctx.env().to_vec() {
+    for (k, v) in ctx.env() {
         out.push_str(&format!("{k}={v}\n"));
     }
     let _ = ctx.write_fd(1, out.as_bytes());

@@ -84,6 +84,35 @@ fn tr_set(spec: &str) -> Vec<char> {
     out
 }
 
+/// A `tr` set with O(1) membership for ASCII: `ascii[c]` holds the
+/// first index of `c` in `chars`. Other chars fall back to a scan.
+struct TrSet {
+    chars: Vec<char>,
+    ascii: [Option<usize>; 128],
+}
+
+impl TrSet {
+    fn new(chars: Vec<char>) -> TrSet {
+        let mut ascii = [None; 128];
+        // Backwards, so the first occurrence of a repeated char wins.
+        for (i, &c) in chars.iter().enumerate().rev() {
+            if c.is_ascii() {
+                ascii[c as usize] = Some(i);
+            }
+        }
+        TrSet { chars, ascii }
+    }
+
+    /// The first index of `c` in the set, if it is a member.
+    fn position(&self, c: char) -> Option<usize> {
+        if c.is_ascii() {
+            self.ascii[c as usize]
+        } else {
+            self.chars.iter().position(|&s| s == c)
+        }
+    }
+}
+
 /// `tr [-c] [-s] [-d] set1 [set2]` — translate or delete characters.
 /// Supports the paper's `tr -cs a-zA-Z0-9 '\012'` usage: complement,
 /// squeeze, map-to-single-char.
@@ -113,14 +142,15 @@ fn tr(ctx: &mut ProcCtx) -> i32 {
     if sets.is_empty() {
         return ctx.fail("missing operand");
     }
-    let set1 = tr_set(&sets[0]);
+    let set1 = TrSet::new(tr_set(&sets[0]));
     let set2: Vec<char> = sets.get(1).map(|s| tr_set(s)).unwrap_or_default();
     let input = String::from_utf8_lossy(&ctx.stdin_all()).into_owned();
-    let in_set1 = |c: char| set1.contains(&c) != complement;
     let mut out = String::with_capacity(input.len());
     let mut last_emitted: Option<char> = None;
     for c in input.chars() {
-        let mapped = if in_set1(c) {
+        let pos = set1.position(c);
+        let in_set1 = pos.is_some() != complement;
+        let mapped = if in_set1 {
             if delete {
                 continue;
             }
@@ -130,13 +160,13 @@ fn tr(ctx: &mut ProcCtx) -> i32 {
                 // Complemented translate: everything maps to set2's last char.
                 *set2.last().expect("set2 nonempty")
             } else {
-                let idx = set1.iter().position(|&s| s == c).expect("member");
+                let idx = pos.expect("member");
                 *set2.get(idx).or(set2.last()).expect("set2 nonempty")
             }
         } else {
             c
         };
-        let translated = in_set1(c) && !set2.is_empty();
+        let translated = in_set1 && !set2.is_empty();
         if squeeze && translated && last_emitted == Some(mapped) {
             continue;
         }

@@ -317,29 +317,18 @@ impl SimOs {
                 }
                 n
             }
-            FileKind::PipeR(p) => {
-                let pipe = &mut self.pipes[p];
-                let n = buf.len().min(pipe.buf.len());
-                for b in buf.iter_mut().take(n) {
-                    *b = pipe.buf.pop_front().expect("len checked");
-                }
-                n
-            }
+            FileKind::PipeR(p) => take_front(&mut self.pipes[p].buf, buf),
             FileKind::PipeW(_) | FileKind::ConsoleOut | FileKind::ConsoleErr => {
                 return Err(OsError::BadF)
             }
             FileKind::ConsoleIn => {
-                let n = buf.len().min(self.console_in.len());
-                if n == 0 && self.interactive {
+                if self.interactive && buf.len().min(self.console_in.len()) == 0 {
                     // Fall back to the real stdin so the REPL works.
                     return std::io::stdin()
                         .read(buf)
                         .map_err(|e| OsError::Io(e.to_string()));
                 }
-                for b in buf.iter_mut().take(n) {
-                    *b = self.console_in.pop_front().expect("len checked");
-                }
-                n
+                take_front(&mut self.console_in, buf)
             }
         };
         self.charge_sys(n);
@@ -537,6 +526,18 @@ impl SimOs {
             }
         }
     }
+}
+
+/// Moves up to `buf.len()` bytes from the front of `queue` into `buf`
+/// with at most two slice copies; returns how many moved.
+fn take_front(queue: &mut VecDeque<u8>, buf: &mut [u8]) -> usize {
+    let n = buf.len().min(queue.len());
+    let (front, back) = queue.as_slices();
+    let split = n.min(front.len());
+    buf[..split].copy_from_slice(&front[..split]);
+    buf[split..n].copy_from_slice(&back[..n - split]);
+    queue.drain(..n);
+    n
 }
 
 /// FNV-1a over a byte run (the fingerprint's mixing step).

@@ -200,6 +200,28 @@ fn tr_translate_and_delete() {
     assert_eq!(run_prog(&mut os, "tr", &["-d", "0-9"], "a1b2c3").1, "abc");
 }
 
+/// Every `tr` mode over ASCII and non-ASCII input, in and out of the
+/// sets: ASCII members go through a lookup table, the rest through a
+/// scan, and both must agree.
+#[test]
+fn tr_modes_over_ascii_and_non_ascii() {
+    let mut os = SimOs::new();
+    let mut tr = |args: &[&str], input: &str| run_prog(&mut os, "tr", args, input).1;
+    // Translate: ASCII sets leave non-ASCII alone; non-ASCII sets map
+    // by position; a short set2 repeats its last char.
+    assert_eq!(tr(&["a-z", "A-Z"], "héllo wörld!"), "HéLLO WöRLD!");
+    assert_eq!(tr(&["αβγ", "abc"], "γβα!"), "cba!");
+    assert_eq!(tr(&["a-cé", "xy"], "abcé-d"), "xyyy-d");
+    // Delete, and delete the complement.
+    assert_eq!(tr(&["-d", "aé"], "abéca"), "bc");
+    assert_eq!(tr(&["-cd", "a-z"], "a1éb\n"), "ab");
+    // Complement maps every non-member to set2's last char.
+    assert_eq!(tr(&["-c", "a-z", "_"], "ab1é"), "ab__");
+    // Squeeze runs of translated chars, as Figure 1 uses it.
+    assert_eq!(tr(&["-cs", "a-z", "\\012"], "one, two;;é three"), "one\ntwo\nthree");
+    assert_eq!(tr(&["-s", "a-zé", "A-ZE"], "aabbéé c"), "ABE C");
+}
+
 #[test]
 fn sort_plain_numeric_reverse_unique() {
     let mut os = SimOs::new();
